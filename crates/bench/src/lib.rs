@@ -7,8 +7,10 @@
 //! * `figure10` — execution-time slowdowns per configuration (Figure 10);
 //! * `figure11` — static shadow propagations / checks vs MSan (Figure 11);
 //! * `optlevels` — the `-O1`/`-O2` comparison (Section 4.6);
-//! * `ablation` — the design-choice ablation;
-//! * std-only wall-clock benches in `benches/`.
+//! * `ablation` — the design-choice ablation.
+//!
+//! Wall-clock performance is measured by the separate `perfbench`
+//! package declared in `BENCHMARK.json`, not here.
 //!
 //! All static analysis routes through the [`usher_driver::Pipeline`], so
 //! the five configurations of one workload share the compiled module (and

@@ -17,9 +17,8 @@
 //! remap contexts through push/pop) iterate individual lanes. The
 //! per-`(node, context)` visited-state walk this replaces is retained as
 //! [`resolve_graph`] — it still resolves quotient graphs for
-//! access-equivalence merging and prices the frozen reference path in
-//! `scripts/bench.sh` — and the original clone-and-hash engine as
-//! [`resolve_reference`].
+//! access-equivalence merging — and the original clone-and-hash engine
+//! as [`resolve_reference`].
 
 use std::collections::HashSet;
 

@@ -8,7 +8,7 @@
 //! | knob changed          | recomputed stages                    |
 //! |-----------------------|--------------------------------------|
 //! | `opt_level`           | everything                           |
-//! | `pointer_strategy`    | pointer artifact only                |
+//! | `pointer_strategy`    | every guided stage from pointer on   |
 //! | `guided.mode`         | VFG, resolution, instrumentation     |
 //! | `guided.semi_strong`  | VFG, resolution, instrumentation     |
 //! | `guided.context_depth`| resolution, instrumentation          |
@@ -78,12 +78,13 @@ pub struct PipelineOptions {
     pub guided: Option<GuidedKnobs>,
     /// Bit-level shadow precision (Section 4.1).
     pub bit_level: bool,
-    /// Which pointer-analysis solver runs the pointer stage. Every
-    /// strategy produces byte-identical results (enforced by the
-    /// representation-equivalence suite), but their `SolverStats`
-    /// counters differ, so the strategy **is** part of the pointer
-    /// cache key (and only that key — downstream artifacts are
-    /// strategy-invariant and chain off the frontend key).
+    /// Which pointer-analysis solver runs the pointer stage. Strategies
+    /// agree on the seed ladder, but not everywhere: the default
+    /// `prefilter-wave` computes smaller points-to sets than the
+    /// reference solver on some programs (see `usher_pointer::strategy`).
+    /// So the strategy is part of the pointer cache key, and every
+    /// downstream key (memory SSA, VFG, resolution, guided plan) chains
+    /// off the pointer key.
     pub pointer_strategy: PointerStrategy,
     /// Display name stamped on the produced plan and telemetry. Not part
     /// of any cache key.
@@ -228,9 +229,9 @@ impl PipelineOptions {
     }
 
     /// Cache key of the pointer analysis. Includes the solver strategy:
-    /// results are equivalence-tested across strategies, but the stats
-    /// counters embedded in the artifact (and its digest) are
-    /// strategy-specific, so artifacts must not be shared.
+    /// both the points-to results and the stats counters embedded in the
+    /// artifact (and its digest) may differ between strategies, so
+    /// artifacts must not be shared.
     pub fn pointer_key(&self, source_key: u64) -> u64 {
         let mut k = KeyWriter::new("pointer");
         k.u64(self.frontend_key(source_key))
@@ -239,17 +240,19 @@ impl PipelineOptions {
     }
 
     /// Cache key of the memory SSA (mode-independent: only built — and
-    /// only consulted — in full mode).
+    /// only consulted — in full mode). Built from the points-to
+    /// solution, so it chains off the pointer key.
     pub fn memssa_key(&self, source_key: u64) -> u64 {
         let mut k = KeyWriter::new("memssa");
-        k.u64(self.frontend_key(source_key));
+        k.u64(self.pointer_key(source_key));
         k.finish()
     }
 
-    /// Cache key of the VFG (guided pipelines only).
+    /// Cache key of the VFG (guided pipelines only). Chains off the
+    /// pointer key, whose points-to solution it is built from.
     pub fn vfg_key(&self, source_key: u64, g: &GuidedKnobs) -> u64 {
         let mut k = KeyWriter::new("vfg");
-        k.u64(self.frontend_key(source_key))
+        k.u64(self.pointer_key(source_key))
             .u64(Self::mode_tag(g.mode))
             .bool(g.semi_strong);
         k.finish()
@@ -380,16 +383,24 @@ mod tests {
         let changed = base.clone().labelled("other");
         assert_eq!(base.plan_key(src), changed.plan_key(src));
 
-        // pointer_strategy moves the pointer artifact and nothing else.
+        // pointer_strategy moves the pointer artifact and every guided
+        // artifact built from it, but not the frontend or the MSan plan.
         let changed = base
             .clone()
             .with_pointer_strategy(PointerStrategy::Reference);
-        assert_ne!(base.pointer_key(src), changed.pointer_key(src));
         assert_eq!(base.frontend_key(src), changed.frontend_key(src));
-        assert_eq!(base.memssa_key(src), changed.memssa_key(src));
-        assert_eq!(base.vfg_key(src, &g), changed.vfg_key(src, &g));
-        assert_eq!(base.resolve_key(src, &g), changed.resolve_key(src, &g));
-        assert_eq!(base.plan_key(src), changed.plan_key(src));
+        assert_ne!(base.pointer_key(src), changed.pointer_key(src));
+        assert_ne!(base.memssa_key(src), changed.memssa_key(src));
+        assert_ne!(base.vfg_key(src, &g), changed.vfg_key(src, &g));
+        assert_ne!(base.resolve_key(src, &g), changed.resolve_key(src, &g));
+        assert_ne!(base.plan_key(src), changed.plan_key(src));
+        let msan = PipelineOptions::from_config(Config::MSAN);
+        assert_eq!(
+            msan.plan_key(src),
+            msan.clone()
+                .with_pointer_strategy(PointerStrategy::Reference)
+                .plan_key(src)
+        );
     }
 
     #[test]

@@ -1183,6 +1183,40 @@ mod tests {
     }
 
     #[test]
+    fn pointer_strategy_switch_on_a_shared_cache_keeps_plans_apart() {
+        // On 176.gcc the reference solver and the default strategy
+        // compute different points-to sets, so their downstream plans
+        // differ. A reference run must not leave artifacts that a later
+        // default run on the same cache picks up.
+        let w = usher_workloads::workload("176.gcc", usher_workloads::Scale::TEST).unwrap();
+        let default = PipelineOptions::from_config(Config::USHER);
+        let fresh = Pipeline::new()
+            .without_cache()
+            .run_source(w.name, &w.source, default.clone())
+            .unwrap();
+        let shared = Pipeline::new();
+        let reference = shared
+            .run_source(
+                w.name,
+                &w.source,
+                default
+                    .clone()
+                    .with_pointer_strategy(PointerStrategy::Reference),
+            )
+            .unwrap();
+        let after = shared.run_source(w.name, &w.source, default).unwrap();
+        assert_eq!(
+            crate::fingerprint::plan_fingerprint(&after.plan),
+            crate::fingerprint::plan_fingerprint(&fresh.plan),
+        );
+        assert_ne!(
+            crate::fingerprint::plan_fingerprint(&reference.plan),
+            crate::fingerprint::plan_fingerprint(&fresh.plan),
+            "176.gcc no longer separates the strategies; pick another witness"
+        );
+    }
+
+    #[test]
     fn no_cache_pipeline_never_hits() {
         let pipe = Pipeline::new().without_cache();
         let opts = PipelineOptions::from_config(Config::USHER);

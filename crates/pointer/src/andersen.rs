@@ -6,7 +6,7 @@
 //! union-with-difference instead of per-element `BTreeSet` inserts. The
 //! periodic Tarjan cycle collapse runs over a CSR snapshot of the
 //! copy-edge graph. The original `BTreeSet`-based solver is retained in
-//! [`crate::reference`] as the equivalence/benchmark baseline.
+//! [`crate::reference`] as the equivalence oracle.
 
 use std::collections::VecDeque;
 

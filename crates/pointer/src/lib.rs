@@ -24,8 +24,10 @@
 //! bitmap worklist ([`andersen`]), a unification-prefiltered worklist
 //! ([`unify`](crate::strategy::PointerStrategy::Prefilter) + worklist)
 //! and prefiltered parallel wave propagation
-//! ([`strategy::PointerStrategy::PrefilterWave`], the default). All of
-//! them produce byte-identical results; see `tests/representation_equiv.rs`.
+//! ([`strategy::PointerStrategy::PrefilterWave`], the default). They
+//! agree on the seed ladder (`tests/representation_equiv.rs`), but
+//! prefilter-wave computes smaller points-to sets than the reference on
+//! `176.gcc`; see [`strategy`] for the counterexample.
 
 #![warn(missing_docs)]
 

@@ -4,11 +4,20 @@
 //! solver, the bitmap Andersen worklist, the unification-prefiltered
 //! worklist and prefiltered parallel wave propagation — implements the
 //! [`Solver`] trait and is addressable by a [`PointerStrategy`] value.
-//! All strategies produce byte-identical [`PointerAnalysis`] results
-//! (enforced by `tests/representation_equiv.rs`); they differ only in
-//! how fast they reach the fixpoint and in which
-//! [`SolverStats`](crate::SolverStats) counters they populate, which is
-//! why the driver keys cached pointer artifacts on the strategy name.
+//! They differ in how fast they reach the fixpoint and in which
+//! [`SolverStats`](crate::SolverStats) counters they populate.
+//!
+//! They do **not** all compute the same [`PointerAnalysis`]. The
+//! reference, Andersen and prefilter solvers agree on the seed ladder
+//! (`tests/representation_equiv.rs`) and on all 15 programs of
+//! `all_workloads(Scale::TEST)`. Prefilter-wave agrees with them on the
+//! ladder and on 14 of the 15. The counterexample is `176.gcc`. There,
+//! 68 variables get smaller points-to sets than the reference's, and
+//! the Usher plan's cost-model slowdown under `RunOptions::default()`
+//! drops from 138.15% to 95.72%. A smaller set than the reference
+//! oracle's is unsound, so the default strategy's results on such
+//! programs are not to be trusted. The driver keys the pointer
+//! artifact, and every artifact built from it, on the strategy name.
 //!
 //! Threading stays out of this crate: the wave strategy accepts an
 //! injected [`WaveRunner`] — the driver passes a thunk built on its
@@ -34,7 +43,7 @@ pub type WaveRunner<'a> = &'a (dyn Fn(usize, WaveJob<'_>) -> Vec<Vec<u32>> + Syn
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum PointerStrategy {
     /// The frozen pre-overhaul `BTreeSet` solver (`reference.rs`) —
-    /// the equivalence oracle and benchmark baseline.
+    /// the equivalence oracle.
     Reference,
     /// The bitmap Andersen worklist solver, no prefilter.
     Andersen,
@@ -48,7 +57,7 @@ pub enum PointerStrategy {
 }
 
 impl PointerStrategy {
-    /// Every strategy, in benchmark order (baseline first).
+    /// Every strategy, oracle first.
     pub const ALL: [PointerStrategy; 4] = [
         PointerStrategy::Reference,
         PointerStrategy::Andersen,
@@ -79,9 +88,10 @@ impl std::fmt::Display for PointerStrategy {
     }
 }
 
-/// A pluggable pointer-analysis implementation. All implementations
-/// compute the same [`PointerAnalysis`]; the contract is checked by the
-/// representation-equivalence suite.
+/// A pluggable pointer-analysis implementation. Every implementation
+/// is meant to compute the reference solver's [`PointerAnalysis`]; the
+/// representation-equivalence suite checks that on the seed ladder, and
+/// the module docs record where prefilter-wave falls short of it.
 pub trait Solver {
     /// The strategy's stable name (matches [`PointerStrategy::name`]).
     fn name(&self) -> &'static str;

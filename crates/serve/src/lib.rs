@@ -26,7 +26,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod codec;
 pub mod engine;
 pub mod faultio;
@@ -35,7 +34,6 @@ pub mod server;
 pub mod store;
 pub mod wal;
 
-pub use bench::{run_bench, BenchOptions, BenchSummary};
 pub use engine::{
     plan_is_degraded, AnalyzeOutcome, Counters, EditOutcome, Engine, EngineConfig, EngineStats,
     QueryOutcome, ReplaySummary,

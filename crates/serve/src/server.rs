@@ -132,8 +132,8 @@ pub struct Handled {
     pub shutdown: bool,
 }
 
-/// Shared request dispatcher: every transport (stdin, socket, bench,
-/// tests) funnels through here.
+/// Shared request dispatcher: every transport (stdin, socket,
+/// `perfbench`, tests) funnels through here.
 pub struct Dispatcher {
     engine: Mutex<Engine>,
     seq: AtomicU64,
@@ -229,7 +229,7 @@ impl Dispatcher {
         })
     }
 
-    /// Direct engine access (used by `serve-bench` and tests).
+    /// Direct engine access (used by `perfbench` and tests).
     pub fn engine(&self) -> &Mutex<Engine> {
         &self.engine
     }
@@ -1099,6 +1099,93 @@ mod tests {
         let resp = Json::parse(&d.handle_line("stdin", "{\"op\":\"stats\"}").response).unwrap();
         assert_eq!(field(&resp, "ok").as_bool(), Some(true));
         assert_eq!(field(&resp, "requests_shed").as_u64(), Some(1));
+    }
+
+    #[test]
+    fn barrier_raced_burst_sheds_and_every_retry_succeeds() {
+        // Shedding under real contention: a one-slot admission queue is
+        // hit by clients that a barrier releases at once, volley after
+        // volley. Each client honors `retry_after_ms` with bounded
+        // exponential backoff and deterministic jitter (the discipline
+        // `examples/serve_client.rs` implements), so every request ends
+        // `ok`, and the server's shed counter matches what clients saw.
+        const CLIENTS: usize = 3;
+        const VOLLEYS: usize = 8;
+        let src = usher_workloads::generate(11, usher_workloads::ladder_config(8, 8));
+        let cfg = ServerConfig {
+            max_queue: 1,
+            wal_enabled: false,
+            ..ServerConfig::default()
+        };
+        let d = Arc::new(Dispatcher::new(&cfg).unwrap());
+        let analyze = |src: &str, id: &str| {
+            let mut w = ObjWriter::new();
+            w.str("op", "analyze").str("source", src).str("id", id);
+            w.finish()
+        };
+        // One cold analyze up front so the burst races warm requests.
+        let resp = Json::parse(&d.handle_line("stdin", &analyze(&src, "cold")).response).unwrap();
+        assert_eq!(field(&resp, "ok").as_bool(), Some(true));
+
+        let barrier = Arc::new(std::sync::Barrier::new(CLIENTS));
+        let handles: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let (d, barrier, src) = (d.clone(), barrier.clone(), src.clone());
+                std::thread::spawn(move || {
+                    let mut rng = usher_workloads::Rng::new(0x6275_7273_7400 + c as u64);
+                    let (mut shed, mut failures) = (0u64, Vec::new());
+                    for v in 0..VOLLEYS {
+                        // Every client reaches every barrier, even after a
+                        // failed request, so a failure fails the test
+                        // instead of hanging it.
+                        barrier.wait();
+                        let id = format!("burst-{c}-{v}");
+                        let mut attempt = 0u32;
+                        loop {
+                            let h = d.handle_line(&format!("sock-{c}"), &analyze(&src, &id));
+                            let resp = Json::parse(&h.response).ok();
+                            let get = |key| resp.as_ref().and_then(|r| r.get(key));
+                            if get("ok").and_then(Json::as_bool) == Some(true) {
+                                break;
+                            }
+                            if get("error_kind").and_then(Json::as_str) != Some("overloaded") {
+                                failures.push(format!("{id} failed hard: {}", h.response));
+                                break;
+                            }
+                            shed += 1;
+                            if attempt == 20 {
+                                failures.push(format!("{id} never admitted after 20 retries"));
+                                break;
+                            }
+                            // The hint, scaled down to keep the test fast,
+                            // grown exponentially and jittered so retries
+                            // spread out instead of re-colliding.
+                            let hint = get("retry_after_ms").and_then(Json::as_u64).unwrap_or(50);
+                            let base = (hint.min(10) << attempt.min(4)).max(1);
+                            let jitter = rng.next_u64() % (base / 2 + 1);
+                            std::thread::sleep(Duration::from_millis(base + jitter));
+                            attempt += 1;
+                        }
+                    }
+                    (shed, failures)
+                })
+            })
+            .collect();
+        let (mut shed, mut failures) = (0u64, Vec::new());
+        for h in handles {
+            let (s, f) = h.join().unwrap();
+            shed += s;
+            failures.extend(f);
+        }
+
+        assert!(failures.is_empty(), "{failures:?}");
+        assert!(
+            shed > 0,
+            "a max_queue=1 burst of {CLIENTS} clients must shed"
+        );
+        let resp = Json::parse(&d.handle_line("stdin", "{\"op\":\"stats\"}").response).unwrap();
+        assert_eq!(field(&resp, "requests_shed").as_u64(), Some(shed));
+        assert_eq!(d.inflight(), 0);
     }
 
     #[test]

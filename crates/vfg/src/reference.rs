@@ -6,8 +6,7 @@
 //! adjacency lists — and [`build_reference`] is the original traversal,
 //! byte for byte. The representation-equivalence suite builds every
 //! workload through both generations and asserts the frozen graph
-//! ([`RefVfg::freeze`]) is structurally identical to the CSR-first one;
-//! `scripts/bench.sh` uses this builder for its "before" timings.
+//! ([`RefVfg::freeze`]) is structurally identical to the CSR-first one.
 //! Semantics are frozen; do not optimize.
 
 use std::collections::HashMap;

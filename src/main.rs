@@ -10,7 +10,6 @@
 //! usher gen [--seed N] [...]          generate a synthetic TinyC workload
 //! usher fuzz [--smoke] [...]          differential fuzzing campaign
 //! usher serve [--socket P] [...]      persistent incremental analysis service
-//! usher serve-bench [--quick] [...]   multi-client serve latency benchmark
 //! ```
 //!
 //! Inputs ending in `.uir` are parsed as IR text instead of TinyC.
@@ -45,11 +44,12 @@
 //! `close`/`shutdown`) over stdin and an optional Unix socket (`--socket`),
 //! multiplexing up to `--max-clients` connections. Artifacts are cached
 //! in memory and, with `--store-dir`, in an on-disk content-addressed
-//! store capped at `--store-cap-bytes`. `usher serve-bench` replays a
-//! deterministic multi-client edit/analyze trace and reports p50/p99
-//! latency plus the incremental-vs-cold speedup; `--quick` is the CI
-//! regression gate and `--out FILE` writes the JSON report
-//! (see BENCH_serve.json and DESIGN.md §11).
+//! store capped at `--store-cap-bytes` (see DESIGN.md §11).
+//!
+//! Wall-clock performance of `analyze`, `serve` and instrumented
+//! execution is measured by the `perfbench` package declared in
+//! `BENCHMARK.json` (workloads `cold-ladder`, `serve-edit` and
+//! `exec-suite`).
 //!
 //! All analysis routes through [`usher::driver::Pipeline`].
 
@@ -71,7 +71,6 @@ fn main() -> ExitCode {
             eprintln!("       usher gen [--seed N] [--helpers N] [--stmts N]");
             eprintln!("       usher fuzz [--smoke] [--seeds N] [--start N] [--mutants N] [--frontend] [--fault MODE] [--threads N] [--no-minimize] [--report FILE] [--out DIR]");
             eprintln!("       usher serve [--socket PATH] [--store-dir DIR] [--store-cap-bytes N] [--max-clients N] [--threads N] [--pointer-strategy S] [--no-cache] [--wal PATH] [--no-wal] [--max-queue N] [--drain-timeout-ms N]");
-            eprintln!("       usher serve-bench [--quick] [--clients N] [--edits N] [--out FILE]");
             ExitCode::from(2)
         }
     }
@@ -86,9 +85,6 @@ fn dispatch(args: &[String]) -> Result<ExitCode, String> {
     }
     if args.first().map(String::as_str) == Some("serve") {
         return serve_command(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("serve-bench") {
-        return serve_bench_command(&args[1..]);
     }
     let mut cmd = None;
     let mut file = None;
@@ -424,49 +420,6 @@ fn serve_command(args: &[String]) -> Result<ExitCode, String> {
     }
     run_server(&cfg)?;
     Ok(ExitCode::SUCCESS)
-}
-
-/// `usher serve-bench`: deterministic multi-client latency benchmark
-/// over the serve protocol. Exit code 1 means a `--quick` regression
-/// gate tripped.
-fn serve_bench_command(args: &[String]) -> Result<ExitCode, String> {
-    use usher::serve::{run_bench, BenchOptions};
-
-    let mut opts = BenchOptions::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => opts.quick = true,
-            "--clients" => {
-                let v = it.next().ok_or("--clients needs a value")?;
-                let n: usize = v.parse().map_err(|_| format!("bad client count {v}"))?;
-                if n == 0 {
-                    return Err("--clients must be at least 1".into());
-                }
-                opts.clients = n;
-            }
-            "--edits" => {
-                let v = it.next().ok_or("--edits needs a value")?;
-                opts.edits_per_client = v.parse().map_err(|_| format!("bad edit count {v}"))?;
-            }
-            "--out" => {
-                let v = it.next().ok_or("--out needs a path")?;
-                opts.out = Some(v.into());
-            }
-            other => return Err(format!("unexpected serve-bench argument {other}")),
-        }
-    }
-    match run_bench(&opts) {
-        Ok(s) => {
-            println!("{}", s.json);
-            Ok(ExitCode::SUCCESS)
-        }
-        Err(e) if e.starts_with("regression:") => {
-            eprintln!("serve-bench {e}");
-            Ok(ExitCode::from(1))
-        }
-        Err(e) => Err(e),
-    }
 }
 
 fn fuzz_command(args: &[String]) -> Result<ExitCode, String> {

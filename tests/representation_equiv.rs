@@ -6,9 +6,10 @@
 //! condensed definedness resolver, once with the retained reference
 //! implementations (adjacency-list [`usher::vfg::RefVfg`], visited-state
 //! walk, clone-and-mutate Opt II) — and everything downstream is
-//! compared: points-to sets, call graph, concreteness, the resolved
-//! `Gamma`, Opt II redirections, and the final instrumentation plans
-//! (guided, Opt I, Opt II, and TL variants).
+//! compared: points-to sets, call graph, concreteness, the VFG itself,
+//! the resolved `Gamma`, Opt II redirections, and the final
+//! instrumentation plans (guided, Opt I, Opt II, and TL variants). The
+//! demand tests also bound the nodes a cold point query visits.
 //!
 //! Random inputs come from the repo's own deterministic workload
 //! generator, so the suite needs no external property-testing crate.
@@ -21,7 +22,7 @@ use usher::driver::{analyze_pointer, analyze_pointer_budgeted};
 use usher::frontend::compile_o0im;
 use usher::ir::{Budget, Module};
 use usher::pointer::{analyze, analyze_reference, PointerAnalysis, PointerStrategy};
-use usher::vfg::{build, build_memssa, build_reference, VfgMode};
+use usher::vfg::{build, build_memssa, build_reference, DemandEngine, Vfg, VfgMode};
 use usher::workloads::{generate, ladder_config, GenConfig, SEED_LADDER};
 
 const CONTEXT_DEPTH: usize = 1;
@@ -84,6 +85,48 @@ fn assert_gamma_equiv(n_nodes: usize, new: &Gamma, old: &Gamma, tag: &str) {
     assert_eq!(new.bot_count(), old.bot_count(), "{tag}: bot count");
 }
 
+/// The CSR-first builder and the frozen adjacency-list reference must
+/// produce the same graph, bit for bit: node interning order, the
+/// deduplicated dependence CSR, its transposed user CSR, checks, def
+/// sites and store-kind stats.
+fn assert_vfg_identical(new: &Vfg, frozen: &Vfg, tag: &str) {
+    assert_eq!(new.nodes, frozen.nodes, "{tag}: node tables");
+    assert_eq!(new.deps.offsets, frozen.deps.offsets, "{tag}: dep offsets");
+    assert_eq!(new.deps.targets, frozen.deps.targets, "{tag}: dep targets");
+    assert_eq!(new.deps.kinds, frozen.deps.kinds, "{tag}: dep kinds");
+    assert_eq!(
+        new.users.offsets, frozen.users.offsets,
+        "{tag}: user offsets"
+    );
+    assert_eq!(
+        new.users.targets, frozen.users.targets,
+        "{tag}: user targets"
+    );
+    assert_eq!(new.users.kinds, frozen.users.kinds, "{tag}: user kinds");
+    assert_eq!(new.checks, frozen.checks, "{tag}: checks");
+    assert_eq!(new.def_site, frozen.def_site, "{tag}: def sites");
+    assert_eq!(new.stats, frozen.stats, "{tag}: store-kind stats");
+}
+
+/// A point query is sparse: answering one check from a fresh (cold)
+/// engine walks at most 1% of the graph, and its verdict is the
+/// exhaustive resolver's. This is the count behind `query-use` latency,
+/// so it is asserted exactly instead of timed.
+fn assert_cold_queries_are_sparse(g: &Vfg, gamma: &Gamma, tag: &str) {
+    let limit = g.len() / 100;
+    for (i, ch) in g.checks.iter().enumerate() {
+        let mut eng = DemandEngine::new(g, CONTEXT_DEPTH);
+        let v = eng.query(g, ch.node, &Budget::unlimited());
+        assert_eq!(v.bot, gamma.is_bot(ch.node), "{tag}: cold check {i}");
+        let visited = eng.stats().nodes_visited;
+        assert!(
+            visited <= limit,
+            "{tag}: cold query of check {i} visited {visited} of {} nodes (limit {limit})",
+            g.len()
+        );
+    }
+}
+
 fn assert_plan_equiv(new: &Plan, old: &Plan, tag: &str) {
     assert_eq!(new.stats, old.stats, "{tag}: plan stats");
     assert_eq!(new.before, old.before, "{tag}: before ops");
@@ -112,9 +155,9 @@ fn check_module(m: &Module, tag: &str) {
         };
         let g_new = build(m, &pa_new, &ms_new, mode);
         let rg_old = build_reference(m, &pa_old, &ms_old, mode);
-        assert_eq!(g_new.len(), rg_old.len(), "{tag}: VFG size");
         // Frozen reference graph (CSR form) for plan construction.
         let g_old = rg_old.freeze();
+        assert_vfg_identical(&g_new, &g_old, &tag);
 
         let gamma_new = resolve(&g_new, CONTEXT_DEPTH);
         let gamma_old = resolve_reference(&rg_old, CONTEXT_DEPTH);
@@ -208,7 +251,8 @@ fn generations_agree_on_the_small_ladder_rungs() {
 fn gamma_and_opt2_agree_on_large_ladder_rungs() {
     // The larger rungs with cheap oracles: skip the per-location pointer
     // sweep and the plan variants (covered above) and compare the hot
-    // observables — base Gamma, Opt II Gamma and the redirection count.
+    // observables — the frozen graph, base Gamma, Opt II Gamma, the
+    // redirection count and the full Usher plan.
     for &(seed, helpers, stmts) in &SEED_LADDER[3..5] {
         let src = generate(seed, ladder_config(helpers, stmts));
         let m = compile_o0im(&src).expect("ladder rungs compile");
@@ -216,7 +260,8 @@ fn gamma_and_opt2_agree_on_large_ladder_rungs() {
         let ms = build_memssa(&m, &pa);
         let g = build(&m, &pa, &ms, VfgMode::Full);
         let rg = build_reference(&m, &pa, &ms, VfgMode::Full);
-        assert_eq!(g.len(), rg.len(), "ladder-{seed}: VFG size");
+        let frozen = rg.freeze();
+        assert_vfg_identical(&g, &frozen, &format!("ladder-{seed}"));
 
         let gamma = resolve(&g, CONTEXT_DEPTH);
         let gamma_ref = resolve_reference(&rg, CONTEXT_DEPTH);
@@ -234,6 +279,14 @@ fn gamma_and_opt2_agree_on_large_ladder_rungs() {
             &o_ref.gamma,
             &format!("ladder-{seed}/opt2"),
         );
+
+        let opt1 = GuidedOpts {
+            opt1: true,
+            ..Default::default()
+        };
+        let plan = guided_plan(&m, &pa, &ms, &g, &o.gamma, opt1, "equiv");
+        let plan_ref = guided_plan(&m, &pa, &ms, &frozen, &o_ref.gamma, opt1, "equiv");
+        assert_plan_equiv(&plan, &plan_ref, &format!("ladder-{seed}/opt2-plan"));
     }
 }
 
@@ -317,8 +370,9 @@ fn demand_queries_agree_with_exhaustive_gamma_across_the_matrix() {
     // strategy and thread count produced the underlying analysis — and
     // its cost counters must be deterministic: the same rung yields the
     // same [`DemandStats`] cell for cell across the whole matrix, which
-    // is what makes the telemetry comparable across configurations.
-    use usher::vfg::DemandEngine;
+    // is what makes the telemetry comparable across configurations. A
+    // cold single-check query must also stay sparse (at most 1% of the
+    // graph).
     for &(seed, helpers, stmts) in &SEED_LADDER[..3] {
         let src = generate(seed, ladder_config(helpers, stmts));
         let m = compile_o0im(&src).expect("ladder rungs compile");
@@ -346,7 +400,12 @@ fn demand_queries_agree_with_exhaustive_gamma_across_the_matrix() {
                 assert_eq!(stats.exhausted_queries, 0, "{tag}: nothing exhausts");
                 assert_eq!(stats.queries, g.checks.len(), "{tag}: query count");
                 match &want_stats {
-                    None => want_stats = Some(stats),
+                    None => {
+                        want_stats = Some(stats);
+                        // The counters are matrix-invariant, so the cold
+                        // per-check walk is measured once per rung.
+                        assert_cold_queries_are_sparse(&g, &gamma, &tag);
+                    }
                     Some(w) => assert_eq!(&stats, w, "{tag}: cost counters must not vary"),
                 }
             }
@@ -358,8 +417,8 @@ fn demand_queries_agree_with_exhaustive_gamma_across_the_matrix() {
 fn demand_queries_agree_on_the_large_ladder_rungs() {
     // The remaining benchmark rungs with one representative analysis
     // each: verdict equivalence is the expensive invariant worth holding
-    // at scale (the counter matrix above already pins determinism).
-    use usher::vfg::DemandEngine;
+    // at scale (the counter matrix above already pins determinism), and
+    // sparseness is what makes a point query cheap on a large graph.
     for &(seed, helpers, stmts) in &SEED_LADDER[3..] {
         let src = generate(seed, ladder_config(helpers, stmts));
         let m = compile_o0im(&src).expect("ladder rungs compile");
@@ -379,6 +438,7 @@ fn demand_queries_agree_on_the_large_ladder_rungs() {
             );
         }
         assert_eq!(eng.stats().exhausted_queries, 0);
+        assert_cold_queries_are_sparse(&g, &gamma, &format!("ladder-{seed}"));
     }
 }
 
