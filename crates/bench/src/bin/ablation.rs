@@ -78,7 +78,6 @@ impl Variant {
             context_depth: self.k,
             opt1: self.opt1,
             opt2: self.opt2,
-            demand: false,
         };
         PipelineOptions {
             guided: Some(knobs),
@@ -105,13 +104,7 @@ fn main() {
     for v in VARIANTS {
         let jobs: Vec<Job> = workloads
             .iter()
-            .map(|w| {
-                Job::new(
-                    w.name,
-                    SourceInput::TinyC(w.source.clone()),
-                    args.apply(v.options()),
-                )
-            })
+            .map(|w| Job::new(w.name, SourceInput::TinyC(w.source.clone()), v.options()))
             .collect();
         let (runs, batch) = pipe.run_batch(&jobs);
         args.emit_report(&batch);

@@ -16,7 +16,6 @@ fn main() {
 
     // One job per workload × level × {MSan, Usher}; within a level the two
     // configurations share the compiled module through the cache.
-    let args_ref = &args;
     let jobs: Vec<Job> = workloads
         .iter()
         .flat_map(|w| {
@@ -27,7 +26,7 @@ fn main() {
                         Job::new(
                             w.name,
                             SourceInput::TinyC(w.source.clone()),
-                            args_ref.apply(PipelineOptions::from_config(cfg).at_level(level)),
+                            PipelineOptions::from_config(cfg).at_level(level),
                         )
                     })
                 })

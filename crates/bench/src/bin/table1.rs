@@ -16,7 +16,7 @@ fn main() {
             Job::new(
                 w.name,
                 SourceInput::TinyC(w.source.clone()),
-                args.apply(PipelineOptions::from_config(Config::USHER)),
+                PipelineOptions::from_config(Config::USHER),
             )
         })
         .collect();
@@ -26,8 +26,9 @@ fn main() {
     let mut rows = Vec::new();
     for (w, r) in workloads.iter().zip(runs) {
         let r = r.unwrap_or_else(|e| panic!("{} fails: {e}", w.name));
-        // A budgeted run that degraded to full instrumentation has no
-        // VFG to report statistics from; its row would be meaningless.
+        // A run that degraded to full instrumentation (a contained stage
+        // panic) has no VFG to report statistics from; its row would be
+        // meaningless.
         let Some(vfg) = r.vfg.as_ref() else {
             eprintln!(
                 "note: {} degraded to full instrumentation ({} event(s)); no Table 1 row",

@@ -6,12 +6,12 @@
 //! * `--threads N` — worker threads for the pipeline driver (default:
 //!   the machine's available parallelism);
 //! * `--no-cache` — disable the artifact cache (every stage recomputes);
-//! * `--report` — emit JSON-lines pipeline telemetry on stderr;
-//! * `--budget-steps N` / `--deadline-ms N` — analysis budget, to measure
-//!   what graceful degradation costs (and saves) at benchmark scale;
-//! * `--strict` — fail instead of degrading when the budget runs out.
+//! * `--report` — emit JSON-lines pipeline telemetry on stderr.
+//!
+//! Degradation under a budget is exercised by `usher analyze
+//! --budget-steps` and `usher fuzz --fault budget-exhaust`, not here.
 
-use usher_driver::{default_threads, BatchReport, Pipeline, PipelineOptions};
+use usher_driver::{default_threads, BatchReport, Pipeline};
 use usher_workloads::Scale;
 
 /// Parsed benchmark arguments.
@@ -25,12 +25,6 @@ pub struct BenchArgs {
     pub use_cache: bool,
     /// Whether to emit JSON-lines telemetry on stderr.
     pub report: bool,
-    /// Analysis step budget (`None` = unlimited).
-    pub budget_steps: Option<u64>,
-    /// Analysis wall-clock deadline in milliseconds (`None` = none).
-    pub deadline_ms: Option<u64>,
-    /// Surface degradations as hard errors instead of falling back.
-    pub strict: bool,
 }
 
 impl BenchArgs {
@@ -41,9 +35,6 @@ impl BenchArgs {
             threads: default_threads(),
             use_cache: true,
             report: false,
-            budget_steps: None,
-            deadline_ms: None,
-            strict: false,
         };
         let args: Vec<String> = std::env::args().skip(1).collect();
         let mut it = args.iter();
@@ -63,25 +54,6 @@ impl BenchArgs {
                 }
                 "--no-cache" => out.use_cache = false,
                 "--report" => out.report = true,
-                "--budget-steps" => {
-                    let v = it
-                        .next()
-                        .unwrap_or_else(|| usage("--budget-steps needs a value"));
-                    out.budget_steps = Some(
-                        v.parse()
-                            .unwrap_or_else(|_| usage(&format!("bad step budget {v}"))),
-                    );
-                }
-                "--deadline-ms" => {
-                    let v = it
-                        .next()
-                        .unwrap_or_else(|| usage("--deadline-ms needs a value"));
-                    out.deadline_ms = Some(
-                        v.parse()
-                            .unwrap_or_else(|_| usage(&format!("bad deadline {v}"))),
-                    );
-                }
-                "--strict" => out.strict = true,
                 other => usage(&format!("unknown argument {other}")),
             }
         }
@@ -98,14 +70,6 @@ impl BenchArgs {
         }
     }
 
-    /// Threads the degradation knobs through a preset's pipeline options.
-    pub fn apply(&self, options: PipelineOptions) -> PipelineOptions {
-        options
-            .with_budget_steps(self.budget_steps)
-            .with_deadline_ms(self.deadline_ms)
-            .strict(self.strict)
-    }
-
     /// Emits batch telemetry on stderr when `--report` was given.
     pub fn emit_report(&self, batch: &BatchReport) {
         if self.report {
@@ -116,9 +80,6 @@ impl BenchArgs {
 
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
-    eprintln!(
-        "usage: <bin> [test|ref] [--threads N] [--no-cache] [--report] \
-         [--budget-steps N] [--deadline-ms N] [--strict]"
-    );
+    eprintln!("usage: <bin> [test|ref] [--threads N] [--no-cache] [--report]");
     std::process::exit(2)
 }

@@ -26,15 +26,12 @@
 
 #![warn(missing_docs)]
 
-use std::sync::Arc;
-
 use usher_core::{Config, PlanStats};
 use usher_driver::{
     parallel_map, BatchReport, Job, Pipeline, PipelineOptions, PipelineRun, SourceInput,
 };
-use usher_ir::{Module, OptLevel};
 use usher_runtime::{run, RunOptions, RunResult};
-use usher_workloads::{all_workloads, Scale, Workload};
+use usher_workloads::{all_workloads, Scale};
 
 pub mod cli;
 
@@ -86,40 +83,6 @@ fn execute(pr: &PipelineRun, opts: &RunOptions) -> ConfigRun {
     }
 }
 
-/// Runs a compiled module under every configuration of Figure 10,
-/// analyzing through `pipe` (so repeated prefixes hit its cache).
-pub fn run_all_configs_with(
-    pipe: &Pipeline,
-    name: &str,
-    m: Arc<Module>,
-    opts: &RunOptions,
-) -> WorkloadRuns {
-    let native = run(&m, None, opts);
-    let runs = Config::ALL
-        .iter()
-        .map(|cfg| {
-            let pr = pipe.run_module(name, m.clone(), PipelineOptions::from_config(*cfg));
-            execute(&pr, opts)
-        })
-        .collect();
-    WorkloadRuns {
-        name: name.to_string(),
-        native,
-        runs,
-    }
-}
-
-/// Runs a compiled module under every configuration of Figure 10 with a
-/// private single-threaded pipeline.
-pub fn run_all_configs(name: &str, m: &Module, opts: &RunOptions) -> WorkloadRuns {
-    run_all_configs_with(
-        &Pipeline::new().with_threads(1),
-        name,
-        Arc::new(m.clone()),
-        opts,
-    )
-}
-
 /// Runs the whole suite at a scale under every configuration: the
 /// analysis phase goes through [`Pipeline::run_batch`] (workload ×
 /// configuration jobs over the worker pool), the execution phase is
@@ -154,18 +117,6 @@ pub fn run_suite_with(scale: Scale, opts: &RunOptions, pipe: &Pipeline) -> Suite
         }
     });
     SuiteResult { rows, batch }
-}
-
-/// Runs the whole suite with a private default pipeline; see
-/// [`run_suite_with`].
-pub fn run_suite(scale: Scale, opts: &RunOptions) -> Vec<WorkloadRuns> {
-    run_suite_with(scale, opts, &Pipeline::new()).rows
-}
-
-/// Compiles one workload at a given optimization level.
-pub fn compile_at(w: &Workload, level: OptLevel) -> Module {
-    w.compile_with(level)
-        .unwrap_or_else(|e| panic!("{} fails at {level}: {e}", w.name))
 }
 
 /// Geometric-free average of slowdowns (the paper reports arithmetic
@@ -260,30 +211,36 @@ mod tests {
     }
 
     #[test]
-    fn one_workload_runs_all_configs() {
-        let w = usher_workloads::workload("crafty", Scale::TEST).unwrap();
-        let m = w.compile_o0im().unwrap();
-        let runs = run_all_configs(w.name, &m, &RunOptions::default());
-        assert_eq!(runs.runs.len(), 5);
-        assert!(runs.native.trap.is_none(), "{:?}", runs.native.trap);
-        // Semantics preserved across configurations.
-        for r in &runs.runs {
-            assert_eq!(r.result.trace, runs.native.trace, "{}", r.config);
+    fn suite_runs_every_config_over_a_shared_pipeline() {
+        let pipe = Pipeline::new().with_threads(2);
+        let suite = run_suite_with(Scale::TEST, &RunOptions::default(), &pipe);
+        assert_eq!(suite.rows.len(), all_workloads(Scale::TEST).len());
+        for row in &suite.rows {
+            assert_eq!(row.runs.len(), Config::ALL.len());
+            assert!(
+                row.native.trap.is_none(),
+                "{}: {:?}",
+                row.name,
+                row.native.trap
+            );
+            // Semantics preserved across configurations.
+            for r in &row.runs {
+                assert_eq!(
+                    r.result.trace, row.native.trace,
+                    "{} {}",
+                    row.name, r.config
+                );
+            }
+            // MSan costs at least as much as full Usher.
+            assert!(
+                row.runs[0].slowdown_pct >= row.runs[4].slowdown_pct,
+                "{}",
+                row.name
+            );
         }
-        // MSan costs at least as much as full Usher.
-        assert!(runs.runs[0].slowdown_pct >= runs.runs[4].slowdown_pct);
-    }
-
-    #[test]
-    fn shared_pipeline_reuses_the_frontend_across_configs() {
-        let w = usher_workloads::workload("crafty", Scale::TEST).unwrap();
-        let pipe = Pipeline::new().with_threads(1);
-        let m = Arc::new(w.compile_o0im().unwrap());
-        run_all_configs_with(&pipe, w.name, m, &RunOptions::default());
-        let stats = pipe.cache_stats();
         assert!(
-            stats.hits > 0,
-            "five configs must share pipeline prefixes: {stats:?}"
+            pipe.cache_stats().hits > 0,
+            "five configs must share pipeline prefixes"
         );
     }
 }

@@ -15,15 +15,15 @@
 //! bitset* over context ids: a `Direct` edge moves every context at
 //! once with word-parallel ORs, and only `Call`/`Ret` edges (which
 //! remap contexts through push/pop) iterate individual lanes. The
-//! per-`(node, context)` visited-state walk this replaces is retained as
-//! [`resolve_graph`] — it still resolves quotient graphs for
-//! access-equivalence merging — and the original clone-and-hash engine
-//! as [`resolve_reference`].
+//! per-`(node, context)` visited-state walk this replaces is retained,
+//! with the original clone-and-hash engine ([`resolve_reference`]), in
+//! the reference section below: the walk resolves the frozen Opt II
+//! reference's rebuilt graph.
 
 use std::collections::HashSet;
 
-use usher_ir::{Budget, Operand, Site};
-use usher_vfg::demand::{transfer, CtxTable, DeadlinePoller, DemandEngine, DemandStats, Lanes};
+use usher_ir::{Budget, Site};
+use usher_vfg::demand::{transfer, CtxTable, DeadlinePoller, Lanes};
 use usher_vfg::{Csr, EdgeKind, RefVfg, Vfg};
 
 /// The definedness state of a node.
@@ -91,74 +91,12 @@ impl Gamma {
         self.bot.is_empty()
     }
 
-    /// Builds a `Gamma` from a raw bot vector (used by the merged
-    /// resolution path).
-    pub fn from_bot(bot: Vec<bool>, context_depth: usize) -> Gamma {
-        Gamma {
-            bot,
-            context_depth,
-            stats: ResolveStats::default(),
-        }
-    }
-
-    /// Like [`Gamma::from_bot`] but keeps the engine's counters.
+    /// Builds a `Gamma` from a raw bot vector and the engine's counters.
     pub fn from_bot_with_stats(bot: Vec<bool>, context_depth: usize, stats: ResolveStats) -> Gamma {
         Gamma {
             bot,
             context_depth,
             stats,
-        }
-    }
-}
-
-/// Per-node visited bitsets indexed by `CtxId`, stored as one flat
-/// strided buffer (one allocation, grown only when the context count
-/// crosses a 64-multiple).
-struct Visited {
-    words: Vec<u64>,
-    /// Words per node.
-    stride: usize,
-    n: usize,
-    states: usize,
-}
-
-impl Visited {
-    fn new(n: usize) -> Visited {
-        Visited {
-            words: vec![0u64; n],
-            stride: 1,
-            n,
-            states: 0,
-        }
-    }
-
-    #[cold]
-    fn grow(&mut self, need: usize) {
-        let new_stride = need.next_power_of_two();
-        let mut new_words = vec![0u64; self.n * new_stride];
-        for v in 0..self.n {
-            new_words[v * new_stride..v * new_stride + self.stride]
-                .copy_from_slice(&self.words[v * self.stride..(v + 1) * self.stride]);
-        }
-        self.words = new_words;
-        self.stride = new_stride;
-    }
-
-    /// Marks `(node, ctx)`; returns whether it was new.
-    #[inline]
-    fn insert(&mut self, node: u32, ctx: u32) -> bool {
-        let wi = (ctx / 64) as usize;
-        if wi >= self.stride {
-            self.grow(wi + 1);
-        }
-        let w = &mut self.words[node as usize * self.stride + wi];
-        let mask = 1u64 << (ctx % 64);
-        if *w & mask == 0 {
-            *w |= mask;
-            self.states += 1;
-            true
-        } else {
-            false
         }
     }
 }
@@ -302,58 +240,66 @@ pub fn resolve_condensed_budgeted(
     (gamma, if exhausted { Some(resolved) } else { None })
 }
 
-/// Demand-driven `Gamma` materialization (the paper's Figure 7 deduction
-/// direction; DESIGN.md §13): instead of resolving every node, a
-/// [`DemandEngine`] queries exactly the nodes guided planning consults —
-/// every check node plus the top-level node of each checked operand —
-/// and every node outside the walked cones is forced to `Bot` (sound:
-/// more resolution can only move a node Top→Bot, and planning never
-/// consults outside the cones, so the resulting plan is byte-equal to
-/// the exhaustively-resolved one).
-///
-/// Returns the map, the engine's query counters, and — mirroring
-/// [`resolve_budgeted`] — `Some(coverage)` when the budget ran out
-/// mid-walk (`coverage[v]` true iff `v`'s value is exact) or `None` when
-/// every query completed.
-pub fn resolve_demand(
-    vfg: &Vfg,
-    k: usize,
-    budget: &Budget,
-) -> (Gamma, DemandStats, Option<Vec<bool>>) {
-    let mut eng = DemandEngine::new(vfg, k);
-    let mut complete = true;
-    for ch in &vfg.checks {
-        complete &= eng.query(vfg, ch.node, budget).complete;
-        if let Operand::Var(v) = ch.operand {
-            if let Some(tl) = vfg.tl(ch.site.func, v) {
-                complete &= eng.query(vfg, tl, budget).complete;
-            }
-        }
-    }
-    let bot: Vec<bool> = (0..vfg.len() as u32)
-        .map(|v| eng.verdict_of(v).unwrap_or(true))
-        .collect();
-    let cond = vfg.condensation();
-    let stats = ResolveStats {
-        interned_contexts: eng.interned_contexts(),
-        visited_states: eng.visited_states(),
-        sccs: cond.sccs,
-        nontrivial_sccs: cond.nontrivial,
-        word_ops: eng.word_ops(),
-    };
-    let coverage = (!complete).then(|| eng.coverage().to_vec());
-    (
-        Gamma::from_bot_with_stats(bot, k, stats),
-        eng.stats(),
-        coverage,
-    )
+// ---- reference engine (pre-overhaul), kept for equivalence/bench ---------
+
+/// Per-node visited bitsets indexed by `CtxId`, stored as one flat
+/// strided buffer (one allocation, grown only when the context count
+/// crosses a 64-multiple).
+struct Visited {
+    words: Vec<u64>,
+    /// Words per node.
+    stride: usize,
+    n: usize,
+    states: usize,
 }
 
-/// The underlying reachability engine: given forward (flows-to) adjacency
-/// `users` in CSR form, marks every node reachable from `f_root` under
-/// partially balanced, `k`-limited call/return matching. Exposed so
-/// clients (e.g. access-equivalence merging) can resolve quotient graphs.
-pub fn resolve_graph(users: &Csr, f_root: u32, k: usize) -> (Vec<bool>, ResolveStats) {
+impl Visited {
+    fn new(n: usize) -> Visited {
+        Visited {
+            words: vec![0u64; n],
+            stride: 1,
+            n,
+            states: 0,
+        }
+    }
+
+    #[cold]
+    fn grow(&mut self, need: usize) {
+        let new_stride = need.next_power_of_two();
+        let mut new_words = vec![0u64; self.n * new_stride];
+        for v in 0..self.n {
+            new_words[v * new_stride..v * new_stride + self.stride]
+                .copy_from_slice(&self.words[v * self.stride..(v + 1) * self.stride]);
+        }
+        self.words = new_words;
+        self.stride = new_stride;
+    }
+
+    /// Marks `(node, ctx)`; returns whether it was new.
+    #[inline]
+    fn insert(&mut self, node: u32, ctx: u32) -> bool {
+        let wi = (ctx / 64) as usize;
+        if wi >= self.stride {
+            self.grow(wi + 1);
+        }
+        let w = &mut self.words[node as usize * self.stride + wi];
+        let mask = 1u64 << (ctx % 64);
+        if *w & mask == 0 {
+            *w |= mask;
+            self.states += 1;
+            true
+        } else {
+            false
+        }
+    }
+}
+
+/// The per-`(node, context)` walk engine the condensed engine replaced:
+/// given forward (flows-to) adjacency `users` in CSR form, marks every
+/// node reachable from `f_root` under partially balanced, `k`-limited
+/// call/return matching. Resolves the frozen Opt II reference's rebuilt
+/// graph.
+pub(crate) fn resolve_graph(users: &Csr, f_root: u32, k: usize) -> (Vec<bool>, ResolveStats) {
     let n = users.len();
     let mut bot = vec![false; n];
     let mut ctxs = CtxTable::new(k);
@@ -391,8 +337,6 @@ pub fn resolve_graph(users: &Csr, f_root: u32, k: usize) -> (Vec<bool>, ResolveS
     };
     (bot, stats)
 }
-
-// ---- reference engine (pre-overhaul), kept for equivalence/bench ---------
 
 /// A k-limited calling context as an owned stack (the reference engine's
 /// representation; the production engine interns these).
@@ -439,22 +383,8 @@ impl Ctx {
 /// adjacency-list VFG, kept as the oracle for the condensed engine.
 /// Semantics are frozen; do not optimize.
 pub fn resolve_reference(vfg: &RefVfg, k: usize) -> Gamma {
-    let bot = resolve_graph_reference(&vfg.users, vfg.f_root, vfg.nodes.len(), k);
-    Gamma {
-        bot,
-        context_depth: k,
-        stats: ResolveStats::default(),
-    }
-}
-
-/// Reference counterpart of [`resolve_graph`] over plain adjacency lists.
-pub fn resolve_graph_reference(
-    users: &[Vec<(u32, EdgeKind)>],
-    f_root: u32,
-    n: usize,
-    k: usize,
-) -> Vec<bool> {
-    let mut bot = vec![false; n];
+    let (users, f_root) = (&vfg.users, vfg.f_root);
+    let mut bot = vec![false; vfg.nodes.len()];
     let mut visited: HashSet<(u32, Ctx)> = HashSet::new();
     let mut work: Vec<(u32, Ctx)> = Vec::new();
 
@@ -478,7 +408,11 @@ pub fn resolve_graph_reference(
             }
         }
     }
-    bot
+    Gamma {
+        bot,
+        context_depth: k,
+        stats: ResolveStats::default(),
+    }
 }
 
 #[cfg(test)]
@@ -786,83 +720,6 @@ mod tests {
                                 partial.is_bot(v),
                                 "uncovered node {v} must be Bot at budget {steps}"
                             );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn demand_gamma_agrees_with_exhaustive_on_every_consulted_node() {
-        let src = "
-            def id(int x) -> int { return x; }
-            def pass(int y) -> int { return id(y); }
-            def main() -> int {
-                int u;
-                int a = pass(u);
-                int b = pass(3);
-                int *p;
-                p = malloc(2);
-                *p = a;
-                return b + *p;
-            }";
-        let m = compile_o0im(src).expect("compiles");
-        let (_pa, _ms, g) = analyze_module(&m, VfgMode::Full);
-        for k in 0..3 {
-            let full = resolve(&g, k);
-            let (dem, dstats, cov) = resolve_demand(&g, k, &Budget::unlimited());
-            assert!(cov.is_none(), "unlimited demand run must complete");
-            assert!(dstats.queries > 0);
-            // Checked nodes and their operand TLs: byte-equal verdicts.
-            for ch in &g.checks {
-                assert_eq!(
-                    dem.is_bot(ch.node),
-                    full.is_bot(ch.node),
-                    "check node {} at k={k}",
-                    ch.node
-                );
-                if let Operand::Var(v) = ch.operand {
-                    if let Some(tl) = g.tl(ch.site.func, v) {
-                        assert_eq!(dem.is_bot(tl), full.is_bot(tl), "operand TL {tl} k={k}");
-                    }
-                }
-            }
-            // Everywhere else: sound over-approximation only (Bot may be
-            // forced on un-walked nodes, Top is never invented).
-            for v in 0..g.len() as u32 {
-                assert!(
-                    dem.is_bot(v) || !full.is_bot(v),
-                    "demand invented Top at node {v}, k={k}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn demand_exhaustion_reports_coverage_and_forces_bot() {
-        let src = "
-            def f(int c) -> int { int x; if (c) { x = 1; } return x; }
-            def main() { print(f(0)); }";
-        let m = compile_o0im(src).expect("compiles");
-        let (_pa, _ms, g) = analyze_module(&m, VfgMode::Full);
-        let (full, _, _) = resolve_demand(&g, 1, &Budget::unlimited());
-        for steps in 0..120 {
-            let (dem, dstats, cov) = resolve_demand(&g, 1, &Budget::limited(steps));
-            match cov {
-                None => {
-                    assert_eq!(dstats.exhausted_queries, 0);
-                    for v in 0..g.len() as u32 {
-                        assert_eq!(dem.is_bot(v), full.is_bot(v), "steps={steps}");
-                    }
-                }
-                Some(cov) => {
-                    assert!(dstats.exhausted_queries > 0, "steps={steps}");
-                    for v in 0..g.len() as u32 {
-                        if cov[v as usize] {
-                            assert_eq!(dem.is_bot(v), full.is_bot(v), "covered {v}");
-                        } else {
-                            assert!(dem.is_bot(v), "uncovered {v} must be Bot");
                         }
                     }
                 }

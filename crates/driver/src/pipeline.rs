@@ -55,14 +55,14 @@ use std::time::{Duration, Instant};
 
 use usher_core::{
     full_plan_func, guided_plan_with_fallback, redundant_check_elimination_budgeted,
-    resolve_budgeted, resolve_demand, stamp_provenance, Gamma, GuidedOpts, Plan, PlanProvenance,
+    resolve_budgeted, stamp_provenance, Gamma, GuidedOpts, Plan, PlanProvenance,
 };
 use usher_frontend::CompileError;
 use usher_ir::{mem2reg, optimize, run_inline, Budget, Exhausted, FuncId, InlinePolicy, Module};
 use usher_pointer::{PointerAnalysis, PointerStrategy, WaveJob};
 use usher_vfg::{
-    build_function_ssa_budgeted, build_with_budgeted, modref_summaries_budgeted, BuildOpts,
-    DemandStats, MemSsa, NodeKind, Vfg, VfgMode,
+    build_function_ssa_budgeted, build_with_budgeted, modref_summaries_budgeted, BuildOpts, MemSsa,
+    NodeKind, Vfg, VfgMode,
 };
 
 use crate::cache::{Artifact, ArtifactCache, CacheStats};
@@ -487,10 +487,10 @@ impl Pipeline {
 
         let module = self.frontend(&mut ctx, source, options, src_key)?;
 
-        let (pa, memssa, vfg, gamma, opt2_redirected, plan, demand_stats) = match &options.guided {
+        let (pa, memssa, vfg, gamma, opt2_redirected, plan) = match &options.guided {
             None => {
                 let plan = self.msan_plan(&mut ctx, &module, options, src_key);
-                (None, None, None, None, 0, plan, None)
+                (None, None, None, None, 0, plan)
             }
             Some(g) => match self.run_guided(&mut ctx, &module, options, *g, src_key, &budget) {
                 Ok(out) => out,
@@ -505,7 +505,7 @@ impl Pipeline {
                     let plan = ctx.timed(Stage::Instrument, |c| {
                         full_fallback_plan(&module, options, c.threads)
                     });
-                    (None, None, None, None, 0, plan, None)
+                    (None, None, None, None, 0, plan)
                 }
             },
         };
@@ -532,7 +532,6 @@ impl Pipeline {
             degrade_events: ctx.degrades,
             functions_degraded,
             functions_total,
-            demand: demand_stats,
             budget_spent: budget.spent(),
             budget_limit: options.budget_steps,
             cache_corrupt_recovered: ctx.corrupt_recovered,
@@ -579,7 +578,6 @@ impl Pipeline {
             Option<Arc<Gamma>>,
             usize,
             Arc<Plan>,
-            Option<DemandStats>,
         ),
         GuidedAbort,
     > {
@@ -671,13 +669,6 @@ impl Pipeline {
         let rk = options.resolve_key(src_key, &g);
         let mut fallback: HashSet<FuncId> = HashSet::new();
         let mut gamma_complete = true;
-        let mut demand_stats: Option<DemandStats> = None;
-        // Demand mode needs the full-mode VFG (the exactness argument in
-        // `resolve_demand` covers only the nodes full-mode planning
-        // consults) and Opt II off (check elimination reads the whole
-        // exhaustive gamma). `with_demand` enforces the combination;
-        // hand-built knobs outside it fall back to the exhaustive path.
-        let demand_active = g.demand && g.mode == VfgMode::Full && !g.opt2;
         let (gamma, redirected): (Arc<Gamma>, usize) = match ctx.lookup(rk) {
             Some(Artifact::Gamma(gm, r)) => {
                 ctx.record(Stage::Resolve, 0.0, true);
@@ -687,11 +678,7 @@ impl Pipeline {
                 deadline_gate(budget, Stage::Resolve)?;
                 let computed = ctx.timed(Stage::Resolve, |_| {
                     contained(options, Stage::Resolve, || {
-                        if demand_active {
-                            let (gm, ds, cov) = resolve_demand(&vfg, g.context_depth, budget);
-                            let complete = cov.is_none();
-                            (gm, 0, cov, complete, Some(ds))
-                        } else if g.opt2 {
+                        if g.opt2 {
                             let out = redundant_check_elimination_budgeted(
                                 module,
                                 &pa,
@@ -706,25 +693,23 @@ impl Pipeline {
                                 out.result.redirected,
                                 out.resolved,
                                 complete,
-                                None,
                             )
                         } else {
                             let (gm, cov) = resolve_budgeted(&vfg, g.context_depth, budget);
                             let complete = cov.is_none();
-                            (gm, 0, cov, complete, None)
+                            (gm, 0, cov, complete)
                         }
                     })
                 });
                 // A panic mid-resolution leaves no coverage map to
                 // attribute: degrade the module.
-                let (gm, r, coverage, complete, ds) = computed.map_err(|detail| {
+                let (gm, r, coverage, complete) = computed.map_err(|detail| {
                     GuidedAbort::Degrade(DegradeEvent {
                         stage: Stage::Resolve.name(),
                         reason: "stage-panic",
                         detail,
                     })
                 })?;
-                demand_stats = ds;
                 let gm = Arc::new(gm);
                 if complete {
                     ctx.store(rk, Artifact::Gamma(gm.clone(), r));
@@ -839,7 +824,6 @@ impl Pipeline {
             Some(gamma),
             redirected,
             plan,
-            demand_stats,
         ))
     }
 
@@ -1334,57 +1318,6 @@ mod tests {
         );
         assert!(huge.report.budget_spent > 0);
         assert!(huge.report.degrade_events.is_empty());
-    }
-
-    #[test]
-    fn demand_mode_plan_matches_exhaustive_opt2_off() {
-        let pipe = Pipeline::new().without_cache();
-        let demand = pipe
-            .run_source(
-                "t",
-                SRC,
-                PipelineOptions::from_config(Config::USHER).with_demand(true),
-            )
-            .unwrap();
-        let plain = pipe
-            .run_source("t", SRC, PipelineOptions::from_config(Config::USHER_OPT1))
-            .unwrap();
-        assert_eq!(
-            crate::fingerprint::plan_fingerprint(&demand.plan),
-            crate::fingerprint::plan_fingerprint(&plain.plan),
-            "demand-deduced plan must equal the exhaustive opt2-off plan"
-        );
-        let d = demand.report.demand.expect("cold demand run reports stats");
-        assert!(d.queries > 0);
-        assert_eq!(d.exhausted_queries, 0);
-        assert!(plain.report.demand.is_none(), "exhaustive run stays silent");
-        // Warm rerun serves the gamma from cache: no demand stats.
-        let cached = Pipeline::new();
-        let opts = PipelineOptions::from_config(Config::USHER).with_demand(true);
-        cached.run_source("t", SRC, opts.clone()).unwrap();
-        let warm = cached.run_source("t", SRC, opts).unwrap();
-        assert_eq!(warm.report.cache_misses, 0, "{:?}", warm.report.stages);
-        assert!(warm.report.demand.is_none());
-    }
-
-    #[test]
-    fn demand_mode_budget_exhaustion_degrades_soundly() {
-        let pipe = Pipeline::new().without_cache();
-        let opts = PipelineOptions::from_config(Config::USHER)
-            .with_demand(true)
-            .with_budget_steps(Some(220));
-        let run = pipe
-            .run_source("t", SRC, opts)
-            .expect("degrades, not errors");
-        // Either the budget survived resolution (clean run) or the walk
-        // exhausted and degraded per function / whole module — never an
-        // error, and any exhaustion is visible in the events.
-        let (_, _, fb) = run.plan.provenance_counts();
-        if run.report.degrade_events.is_empty() {
-            assert_eq!(fb, 0);
-        } else {
-            assert!(fb > 0, "{:?}", run.report.degrade_events);
-        }
     }
 
     #[test]

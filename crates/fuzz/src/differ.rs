@@ -39,12 +39,13 @@
 //!   pointer-stage overhaul claims the prefilter and wave solvers are
 //!   observationally invisible, and this mode attacks the claim with
 //!   mutated programs rather than assuming it from the unit suites.
-//! * [`FaultInjection::DemandDiverge`] — runs the same program through
-//!   the driver with the exhaustive definedness resolver and with the
-//!   demand-driven query engine; the two plans must fingerprint
-//!   identically, and the demand plan must survive the
-//!   native-vs-instrumented oracle. Attacks the query engine's
-//!   exactness claim with mutated programs.
+//! * [`FaultInjection::DemandDiverge`] — builds the program's `Usher_Opt1`
+//!   VFG and asks the demand-driven query engine (what `usher serve`
+//!   answers `query-use` with) about every check: each unlimited-budget
+//!   verdict must be complete and equal the exhaustive resolver's
+//!   `Gamma`, and a repeated query must be a memo hit with the same
+//!   verdict. Attacks the query engine's exactness claim with mutated
+//!   programs.
 //! * [`FaultInjection::ServeChaos`] — runs the serve engine with an
 //!   injected I/O fault (torn write, ENOSPC, kill-point) armed at each
 //!   store/WAL site in turn, kills the engine without shutdown, restarts
@@ -55,10 +56,12 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use usher_core::{run_config, Config, Plan, ShadowOp};
+use usher_core::{resolve, run_config, Config, Plan, ShadowOp};
 use usher_driver::{plan_fingerprint, Pipeline, PipelineOptions};
 use usher_frontend::compile_o0im;
+use usher_ir::Budget;
 use usher_runtime::{run, RunOptions};
+use usher_vfg::{DemandEngine, Vfg};
 
 use crate::classify::{classify, Mismatch, MismatchKind, Outcome};
 use crate::oracle::{run_options, OracleRuns};
@@ -88,10 +91,9 @@ pub enum FaultInjection {
     /// fingerprint identically and each must survive the
     /// native-vs-instrumented oracle.
     StrategyDiverge,
-    /// Run the program with the exhaustive resolver and with the
-    /// demand-driven query engine; the plans must fingerprint
-    /// identically and the demand plan must survive the
-    /// native-vs-instrumented oracle.
+    /// Query every check of the program's VFG with the demand-driven
+    /// engine; each verdict must be complete, equal the exhaustive
+    /// resolver's, and be served from the memo when asked again.
     DemandDiverge,
     /// Crash-recovery chaos for `usher serve`: run an engine with an
     /// injected I/O fault (torn write, ENOSPC, kill-point) at every
@@ -388,29 +390,22 @@ fn strategy_divergence_differential(
     }
 }
 
-/// Demand-divergence differential: the same program through the driver
-/// twice — once with the exhaustive definedness resolver (Opt II off,
-/// the configuration demand mode is provably exact against) and once in
-/// demand mode, where the planner's consults are answered by the
-/// demand-driven query engine walking backward from each check. The two
-/// plans must fingerprint identically, the demand run must actually have
-/// engaged the engine (telemetry present), and the demand plan is run
-/// under the native-vs-instrumented oracle against the MSan baseline so
-/// a divergent plan is also judged on what it *detects*.
+/// Demand-divergence differential: builds the `Usher_Opt1` VFG through
+/// the driver (the graph a serve session retains) and checks the
+/// demand-driven query engine against the exhaustive resolver on every
+/// check (see [`demand_query_mismatches`]). The `Usher_Opt1` plan is run
+/// under the native-vs-instrumented oracle against the MSan baseline to
+/// classify the program.
 fn demand_divergence_differential(
     src: &str,
     m: &usher_ir::Module,
     opts: &RunOptions,
 ) -> DiffResult {
-    let msan_plan = run_config(m, Config::MSAN).plan;
-    let native = run(m, None, opts);
-    let msan_run = run(m, Some(&msan_plan), opts);
-    let mut mismatches = Vec::new();
-    let pipe = Pipeline::new().without_cache();
-    let exhaustive = match pipe.run_source(
+    let cfg = Config::USHER_OPT1;
+    let r = match Pipeline::new().without_cache().run_source(
         "fuzz",
         src,
-        PipelineOptions::from_config(Config::USHER_OPT1),
+        PipelineOptions::from_config(cfg),
     ) {
         Ok(r) => r,
         Err(e) => {
@@ -418,63 +413,66 @@ fn demand_divergence_differential(
                 outcome: Outcome::CompileError,
                 mismatches: vec![Mismatch {
                     kind: MismatchKind::PlanDivergence,
-                    config: "Usher[exhaustive]".to_string(),
+                    config: cfg.name.to_string(),
                     detail: format!("driver failed on a compilable program: {e}"),
                 }],
             }
         }
     };
-    let popts = PipelineOptions::from_config(Config::USHER_OPT1).with_demand(true);
-    let outcome = match pipe.run_source("fuzz", src, popts) {
-        Ok(r) => {
-            if plan_fingerprint(&r.plan) != plan_fingerprint(&exhaustive.plan) {
-                mismatches.push(Mismatch {
-                    kind: MismatchKind::PlanDivergence,
-                    config: "Usher[demand]".to_string(),
-                    detail: "demand-mode plan differs from the exhaustive resolver's".to_string(),
-                });
-            }
-            match &r.report.demand {
-                None => mismatches.push(Mismatch {
-                    kind: MismatchKind::PlanDivergence,
-                    config: "Usher[demand]".to_string(),
-                    detail: "demand mode never engaged the query engine".to_string(),
-                }),
-                Some(ds) if ds.exhausted_queries > 0 => mismatches.push(Mismatch {
-                    kind: MismatchKind::PlanDivergence,
-                    config: "Usher[demand]".to_string(),
-                    detail: format!(
-                        "{} unlimited-budget queries exhausted",
-                        ds.exhausted_queries
-                    ),
-                }),
-                Some(_) => {}
-            }
-            let oracle = OracleRuns {
-                src: src.to_string(),
-                native,
-                runs: vec![
-                    ("MSan".to_string(), msan_run),
-                    ("Usher[demand]".to_string(), run(m, Some(&r.plan), opts)),
-                ],
-            };
-            let (o, ms) = classify(&oracle);
-            mismatches.extend(ms);
-            o
-        }
-        Err(e) => {
-            mismatches.push(Mismatch {
-                kind: MismatchKind::PlanDivergence,
-                config: "Usher[demand]".to_string(),
-                detail: format!("driver failed in demand mode: {e}"),
-            });
-            Outcome::CompileError
-        }
+    let mut mismatches = match (&r.vfg, &r.options.guided) {
+        (Some(vfg), Some(g)) => demand_query_mismatches(vfg, g.context_depth),
+        _ => vec![Mismatch {
+            kind: MismatchKind::PlanDivergence,
+            config: cfg.name.to_string(),
+            detail: "an unbudgeted guided run retained no VFG".to_string(),
+        }],
     };
+    let msan_plan = run_config(m, Config::MSAN).plan;
+    let oracle = OracleRuns {
+        src: src.to_string(),
+        native: run(m, None, opts),
+        runs: vec![
+            ("MSan".to_string(), run(m, Some(&msan_plan), opts)),
+            (cfg.name.to_string(), run(m, Some(&r.plan), opts)),
+        ],
+    };
+    let (outcome, ms) = classify(&oracle);
+    mismatches.extend(ms);
     DiffResult {
         outcome,
         mismatches,
     }
+}
+
+/// Checks what `query-use` serves: one [`DemandEngine`] per graph, as a
+/// serve session keeps, asked about every check twice under an
+/// unlimited budget. Every answer must be complete and equal
+/// `resolve(vfg, k)`, and every answer of the second pass must be a memo
+/// hit.
+fn demand_query_mismatches(vfg: &Vfg, k: usize) -> Vec<Mismatch> {
+    let gamma = resolve(vfg, k);
+    let mut eng = DemandEngine::new(vfg, k);
+    let mut mismatches = Vec::new();
+    for pass in 0..2 {
+        for (i, ch) in vfg.checks.iter().enumerate() {
+            let hits = eng.stats().memo_hits;
+            let v = eng.query(vfg, ch.node, &Budget::unlimited());
+            let memo_hit = eng.stats().memo_hits > hits;
+            let want = gamma.is_bot(ch.node);
+            if !v.complete || v.bot != want || (pass == 1 && !memo_hit) {
+                mismatches.push(Mismatch {
+                    kind: MismatchKind::PlanDivergence,
+                    config: "Usher[query-use]".to_string(),
+                    detail: format!(
+                        "check {i} (node {}), pass {pass}: demand bot={} complete={} \
+                         memo_hit={memo_hit}, exhaustive bot={want}",
+                        ch.node, v.bot, v.complete
+                    ),
+                });
+            }
+        }
+    }
+    mismatches
 }
 
 /// Self-healing probe: warm a private cache, corrupt it in place, rerun,
@@ -1036,12 +1034,22 @@ mod tests {
 
     #[test]
     fn demand_divergence_mode_is_clean_on_corpus_programs() {
+        let mut checks = 0;
         for seed in 0..4u64 {
             let src = generate(seed, GenConfig::default());
             let d = differential(&src, FaultInjection::DemandDiverge, 2, false);
             assert!(d.mismatches.is_empty(), "seed {seed}: {:?}", d.mismatches);
             assert!(matches!(d.outcome, Outcome::Clean | Outcome::Buggy(_)));
+            let r = Pipeline::new()
+                .without_cache()
+                .run_source("t", &src, PipelineOptions::from_config(Config::USHER_OPT1))
+                .unwrap();
+            let vfg = r.vfg.as_ref().unwrap();
+            let ms = demand_query_mismatches(vfg, 1);
+            assert!(ms.is_empty(), "seed {seed}: {ms:?}");
+            checks += vfg.checks.len();
         }
+        assert!(checks > 0, "the corpus programs must carry checks to query");
     }
 
     #[test]

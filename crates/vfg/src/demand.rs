@@ -338,8 +338,6 @@ pub struct DemandStats {
     /// `Top` (its lane row is empty — a strong update killed every `F`
     /// path through it).
     pub refinements: usize,
-    /// SCCs fully processed and memoized.
-    pub sccs_processed: usize,
     /// Queries that exhausted their budget and degraded to `Bot`.
     pub exhausted_queries: usize,
 }
@@ -367,7 +365,7 @@ pub struct DemandEngine {
     ctxs: CtxTable,
     lanes: Lanes,
     /// `resolved[v]` = `v`'s SCC has been fully processed; its lanes are
-    /// final and `verdict_of(v)` is exact.
+    /// final and its verdict is exact.
     resolved: Vec<bool>,
     stats: DemandStats,
     scratch: Vec<u64>,
@@ -380,7 +378,6 @@ pub struct DemandEngine {
     comp_mark: Vec<u32>,
     epoch: u32,
     n: usize,
-    k: usize,
 }
 
 impl DemandEngine {
@@ -409,23 +406,7 @@ impl DemandEngine {
             comp_mark: vec![0; sccs],
             epoch: 0,
             n,
-            k,
         }
-    }
-
-    /// The context depth the engine was built with.
-    pub fn context_depth(&self) -> usize {
-        self.k
-    }
-
-    /// Number of VFG nodes the engine covers.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the engine covers no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
     }
 
     /// Lifetime counters.
@@ -437,34 +418,6 @@ impl DemandEngine {
     /// and memoized).
     pub fn is_resolved(&self, v: u32) -> bool {
         self.resolved[v as usize]
-    }
-
-    /// The memoized exact verdict of a resolved node (`true` = `Bot`),
-    /// without counting a query; `None` when `v` is not resolved yet.
-    pub fn verdict_of(&self, v: u32) -> Option<bool> {
-        self.resolved[v as usize].then(|| !self.lanes.row_empty(v))
-    }
-
-    /// The resolved-coverage map, in the same shape the anytime
-    /// exhaustive resolver reports: `resolved[v]` true iff `v`'s value
-    /// is exact. Un-walked nodes count as uncovered.
-    pub fn coverage(&self) -> &[bool] {
-        &self.resolved
-    }
-
-    /// Distinct contexts interned across all queries so far.
-    pub fn interned_contexts(&self) -> usize {
-        self.ctxs.len()
-    }
-
-    /// `(node, context)` states reached across all queries so far.
-    pub fn visited_states(&self) -> usize {
-        self.lanes.states()
-    }
-
-    /// Word operations spent in lane propagation across all queries.
-    pub fn word_ops(&self) -> usize {
-        self.lanes.word_ops()
     }
 
     /// Answers "may `node` be undefined?" for one node, walking only its
@@ -603,7 +556,6 @@ impl DemandEngine {
                 for &u in members {
                     self.resolved[u as usize] = true;
                 }
-                self.stats.sccs_processed += 1;
             }
         }
 

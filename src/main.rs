@@ -17,10 +17,8 @@
 //! Options: `--config msan|tl|tlat|opt1|usher|msan-bit|usher-bit` (default `usher`),
 //! `--opt O0|O1|O2` (default `O0`, meaning O0+IM), `--seed <n>` for the
 //! deterministic `input()` stream, `--threads <n>` for the pipeline's
-//! worker pool, `--no-cache` to disable artifact caching, `--report`
-//! to print per-stage JSON telemetry on stderr, and `--demand` to
-//! resolve definedness with the demand-driven query engine (implies
-//! Opt II off; the analyze report gains a `demand` counter block).
+//! worker pool, `--no-cache` to disable artifact caching, and `--report`
+//! to print per-stage JSON telemetry on stderr.
 //!
 //! Degradation knobs (see DESIGN.md §10): `--budget-steps <n>` caps the
 //! analysis step budget, `--deadline-ms <n>` adds a wall-clock deadline,
@@ -67,7 +65,7 @@ fn main() -> ExitCode {
         Err(msg) => {
             eprintln!("usher: {msg}");
             eprintln!();
-            eprintln!("usage: usher <run|check|analyze|ir|dis|vfg> <file.tc|file.uir> [--config CFG] [--opt LVL] [--seed N] [--threads N] [--pointer-strategy S] [--no-cache] [--report] [--demand] [--budget-steps N] [--deadline-ms N] [--strict] [--inject-panic STAGE]");
+            eprintln!("usage: usher <run|check|analyze|ir|dis|vfg> <file.tc|file.uir> [--config CFG] [--opt LVL] [--seed N] [--threads N] [--pointer-strategy S] [--no-cache] [--report] [--budget-steps N] [--deadline-ms N] [--strict] [--inject-panic STAGE]");
             eprintln!("       usher gen [--seed N] [--helpers N] [--stmts N]");
             eprintln!("       usher fuzz [--smoke] [--seeds N] [--start N] [--mutants N] [--frontend] [--fault MODE] [--threads N] [--no-minimize] [--report FILE] [--out DIR]");
             eprintln!("       usher serve [--socket PATH] [--store-dir DIR] [--store-cap-bytes N] [--max-clients N] [--threads N] [--pointer-strategy S] [--no-cache] [--wal PATH] [--no-wal] [--max-queue N] [--drain-timeout-ms N]");
@@ -99,7 +97,6 @@ fn dispatch(args: &[String]) -> Result<ExitCode, String> {
     let mut deadline_ms = None;
     let mut strict = false;
     let mut inject_panic = None;
-    let mut demand = false;
 
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -156,7 +153,6 @@ fn dispatch(args: &[String]) -> Result<ExitCode, String> {
                 deadline_ms = Some(v.parse::<u64>().map_err(|_| format!("bad deadline {v}"))?);
             }
             "--strict" => strict = true,
-            "--demand" => demand = true,
             "--inject-panic" => {
                 let v = it.next().ok_or("--inject-panic needs a stage name")?;
                 inject_panic = Some(v.clone());
@@ -191,9 +187,6 @@ fn dispatch(args: &[String]) -> Result<ExitCode, String> {
         .with_inject_panic(inject_panic);
     if let Some(st) = pointer_strategy {
         options = options.with_pointer_strategy(st);
-    }
-    if demand {
-        options = options.with_demand(true);
     }
     let analyze = |opts: PipelineOptions| -> Result<PipelineRun, String> {
         let pr = pipe
@@ -290,16 +283,6 @@ fn dispatch(args: &[String]) -> Result<ExitCode, String> {
                 println!(
                     "opt2          : {} node(s) redirected to T",
                     pr.opt2_redirected
-                );
-            }
-            if let Some(ds) = &pr.report.demand {
-                println!(
-                    "demand        : {} queries, {} memo hits, {} nodes visited, {} refinements, {} exhausted",
-                    ds.queries,
-                    ds.memo_hits,
-                    ds.nodes_visited,
-                    ds.refinements,
-                    ds.exhausted_queries
                 );
             }
             Ok(ExitCode::SUCCESS)
