@@ -79,11 +79,6 @@ impl<'m> FuncBuilder<'m> {
         self.f.new_var(name, ty)
     }
 
-    /// Type of a register.
-    pub fn var_ty(&self, v: VarId) -> TypeId {
-        self.f.vars[v].ty
-    }
-
     fn push(&mut self, inst: Inst) {
         debug_assert!(
             matches!(self.f.blocks[self.cur].term, Terminator::Unreachable),

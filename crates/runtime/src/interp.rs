@@ -12,6 +12,14 @@
 //!   shadow operations change them (this realizes the paper's `Top`
 //!   strong updates at zero runtime cost).
 //!
+//! The plan is not read during execution: each run first decodes it into
+//! a dense side table (`table.rs`) that gives every site of every block
+//! one slot. Each frame caches its current block's first slot, so the
+//! per-step probe is one add and one slice-length test, and shadow ops
+//! run from slices borrowed from the plan. Origins and first detections
+//! are recorded per slot as well. A plan with no ops builds no table and
+//! runs the native path.
+//!
 //! A deterministic cost model accumulates native and shadow cost
 //! separately; [`Counters::slowdown_pct`] is the y-axis of Figure 10.
 
@@ -24,6 +32,7 @@ use usher_ir::{
 };
 use usher_vfg::CheckKind;
 
+use crate::table::PlanTable;
 use crate::value::{Addr, CostModel, Counters, RunOptions, Trap, UndefEvent, Value};
 
 /// One memory cell: a value plus its ground-truth definedness.
@@ -93,6 +102,8 @@ struct Frame {
     func: FuncId,
     block: BlockId,
     idx: usize,
+    /// Plan-table slot of `block`'s first site (0 without a table).
+    base: usize,
     regs: Vec<Option<(Value, bool)>>,
     sh_regs: Vec<Sh>,
     stack_insts: HashMap<Site, u32>,
@@ -139,7 +150,7 @@ pub fn run(m: &Module, plan: Option<&Plan>, opts: &RunOptions) -> RunResult {
 
 struct Machine<'a> {
     m: &'a Module,
-    plan: Option<&'a Plan>,
+    table: Option<PlanTable<'a>>,
     opts: &'a RunOptions,
     cost: CostModel,
     mem: Vec<Instance>,
@@ -152,13 +163,14 @@ struct Machine<'a> {
     stack: Vec<Frame>,
     trace: Vec<i64>,
     detected: Vec<UndefEvent>,
-    detected_seen: BTreeSet<Site>,
+    /// Per slot: whether a detection was reported there.
+    detected_seen: Vec<bool>,
     gt: Vec<UndefEvent>,
     gt_seen: BTreeSet<Site>,
     counters: Counters,
-    reps_cache: HashMap<ObjId, Vec<u32>>,
     origins: Vec<Site>,
-    origin_ids: HashMap<Site, u32>,
+    /// Per slot: the origin id of poison created there (0 = none yet).
+    origin_ids: Vec<u32>,
 }
 
 enum Step {
@@ -169,9 +181,11 @@ enum Step {
 
 impl<'a> Machine<'a> {
     fn new(m: &'a Module, plan: Option<&'a Plan>, opts: &'a RunOptions) -> Machine<'a> {
+        let table = plan.and_then(|p| PlanTable::decode(m, p));
+        let slots = table.as_ref().map_or(0, PlanTable::slots);
         let mut mach = Machine {
             m,
-            plan,
+            table,
             opts,
             cost: opts.cost,
             mem: Vec::new(),
@@ -184,13 +198,12 @@ impl<'a> Machine<'a> {
             stack: Vec::new(),
             trace: Vec::new(),
             detected: Vec::new(),
-            detected_seen: BTreeSet::new(),
+            detected_seen: vec![false; slots],
             gt: Vec::new(),
             gt_seen: BTreeSet::new(),
             counters: Counters::default(),
-            reps_cache: HashMap::new(),
             origins: Vec::new(),
-            origin_ids: HashMap::new(),
+            origin_ids: vec![0; slots],
         };
         // Globals exist for the whole run, zero-initialized and defined.
         for &g in &m.globals {
@@ -216,22 +229,6 @@ impl<'a> Machine<'a> {
         });
         self.sh_mem.push(vec![Sh::DEFINED; cells]);
         id
-    }
-
-    fn reps(&mut self, obj: ObjId) -> &Vec<u32> {
-        let m = self.m;
-        self.reps_cache.entry(obj).or_insert_with(|| {
-            let classes = &m.objects[obj].field_classes;
-            let mut first: HashMap<u32, u32> = HashMap::new();
-            let mut out = Vec::with_capacity(classes.len());
-            for (cell, &class) in classes.iter().enumerate() {
-                out.push(*first.entry(class).or_insert(cell as u32));
-            }
-            if out.is_empty() {
-                out.push(0);
-            }
-            out
-        })
     }
 
     fn run(mut self, main: FuncId) -> RunResult {
@@ -268,10 +265,15 @@ impl<'a> Machine<'a> {
 
     fn push_frame(&mut self, f: FuncId, args: Vec<(Value, bool)>) {
         let func = &self.m.funcs[f];
+        let base = self
+            .table
+            .as_ref()
+            .map_or(0, |t| t.block_base(f, func.entry));
         let mut frame = Frame {
             func: f,
             block: func.entry,
             idx: 0,
+            base,
             regs: vec![None; func.vars.len()],
             sh_regs: vec![Sh::DEFINED; func.vars.len()],
             stack_insts: HashMap::new(),
@@ -286,12 +288,12 @@ impl<'a> Machine<'a> {
             }
         }
         self.stack.push(frame);
-        // Entry shadow ops (ParamSh).
-        if let Some(plan) = self.plan {
-            if let Some(ops) = plan.entry.get(&f) {
-                let dummy = Site::new(f, func.entry, 0);
-                let ops = ops.clone();
-                self.exec_shadow_ops(&ops, dummy);
+        // Entry shadow ops (ParamSh), attributed to the entry block's
+        // first site.
+        if let Some(t) = &self.table {
+            let ops = t.entry(f);
+            if !ops.is_empty() {
+                self.exec_shadow_ops(ops, Site::new(f, func.entry, 0), base);
             }
         }
         // Skip leading phis in the entry block (there are none in valid
@@ -329,13 +331,16 @@ impl<'a> Machine<'a> {
         }
     }
 
-    fn origin_id(&mut self, site: Site) -> u32 {
-        if let Some(&id) = self.origin_ids.get(&site) {
+    /// The origin id of poison created at `site` (in `slot`), numbered by
+    /// first use.
+    fn origin_id(&mut self, site: Site, slot: usize) -> u32 {
+        let id = self.origin_ids[slot];
+        if id != 0 {
             return id;
         }
-        let id = (self.origins.len() + 1) as u32;
         self.origins.push(site);
-        self.origin_ids.insert(site, id);
+        let id = self.origins.len() as u32;
+        self.origin_ids[slot] = id;
         id
     }
 
@@ -347,22 +352,22 @@ impl<'a> Machine<'a> {
         }
     }
 
-    fn shadow_of_src(&mut self, src: &ShadowSrc, site: Site) -> Sh {
+    fn shadow_of_src(&mut self, src: &ShadowSrc, site: Site, slot: usize) -> Sh {
         match src {
             ShadowSrc::Tl(v) => self.stack.last().expect("frame exists").sh_regs[v.index()],
             ShadowSrc::Const(true) => Sh::DEFINED,
             ShadowSrc::Const(false) => {
-                let o = self.origin_id(site);
+                let o = self.origin_id(site, slot);
                 Sh::poison(o)
             }
         }
     }
 
-    fn shadow_of_op(&mut self, op: Operand, site: Site) -> Sh {
+    fn shadow_of_op(&mut self, op: Operand, site: Site, slot: usize) -> Sh {
         match op {
             Operand::Var(v) => self.stack.last().expect("frame exists").sh_regs[v.index()],
             Operand::Undef => {
-                let o = self.origin_id(site);
+                let o = self.origin_id(site, slot);
                 Sh::poison(o)
             }
             _ => Sh::DEFINED,
@@ -406,25 +411,26 @@ impl<'a> Machine<'a> {
 
     // ---- shadow execution ------------------------------------------------
 
-    fn run_before(&mut self, site: Site) {
-        if let Some(plan) = self.plan {
-            if let Some(ops) = plan.before.get(&site) {
-                let ops = ops.clone();
-                self.exec_shadow_ops(&ops, site);
+    fn run_before(&mut self, site: Site, slot: usize) {
+        if let Some(t) = &self.table {
+            let ops = t.before(slot);
+            if !ops.is_empty() {
+                self.exec_shadow_ops(ops, site, slot);
             }
         }
     }
 
-    fn run_after(&mut self, site: Site) {
-        if let Some(plan) = self.plan {
-            if let Some(ops) = plan.after.get(&site) {
-                let ops = ops.clone();
-                self.exec_shadow_ops(&ops, site);
+    fn run_after(&mut self, site: Site, slot: usize) {
+        if let Some(t) = &self.table {
+            let ops = t.after(slot);
+            if !ops.is_empty() {
+                self.exec_shadow_ops(ops, site, slot);
             }
         }
     }
 
-    fn exec_shadow_ops(&mut self, ops: &[ShadowOp], site: Site) {
+    /// Executes `ops` at `site`, whose plan-table slot is `slot`.
+    fn exec_shadow_ops(&mut self, ops: &'a [ShadowOp], site: Site, slot: usize) {
         for op in ops {
             self.counters.shadow_ops += 1;
             match op {
@@ -433,7 +439,7 @@ impl<'a> Machine<'a> {
                     let sh = if *defined {
                         Sh::DEFINED
                     } else {
-                        let o = self.origin_id(site);
+                        let o = self.origin_id(site, slot);
                         Sh::poison(o)
                     };
                     let frame = self.stack.last_mut().expect("frame exists");
@@ -441,7 +447,7 @@ impl<'a> Machine<'a> {
                 }
                 ShadowOp::CopyTl { dst, src } => {
                     self.counters.shadow_cost += self.cost.shadow_reg;
-                    let b = self.shadow_of_src(src, site);
+                    let b = self.shadow_of_src(src, site, slot);
                     let frame = self.stack.last_mut().expect("frame exists");
                     frame.sh_regs[dst.index()] = b;
                 }
@@ -450,7 +456,7 @@ impl<'a> Machine<'a> {
                     // Conjunction of definedness = union of poison masks.
                     let mut b = Sh::DEFINED;
                     for s in srcs {
-                        let sh = self.shadow_of_src(s, site);
+                        let sh = self.shadow_of_src(s, site, slot);
                         b = b.or(sh);
                     }
                     let frame = self.stack.last_mut().expect("frame exists");
@@ -460,8 +466,8 @@ impl<'a> Machine<'a> {
                     self.counters.shadow_cost += self.cost.shadow_reg;
                     let (lv, _) = self.eval(*lhs);
                     let (rv, _) = self.eval(*rhs);
-                    let lsh = self.shadow_of_op(*lhs, site);
-                    let rsh = self.shadow_of_op(*rhs, site);
+                    let lsh = self.shadow_of_op(*lhs, site, slot);
+                    let rsh = self.shadow_of_op(*rhs, site, slot);
                     let mask = bit_bin_shadow(*op, lv, lsh.mask, rv, rsh.mask);
                     let b = lsh.or(rsh).with_mask(mask);
                     let frame = self.stack.last_mut().expect("frame exists");
@@ -469,7 +475,7 @@ impl<'a> Machine<'a> {
                 }
                 ShadowOp::UnSh { dst, op, src } => {
                     self.counters.shadow_cost += self.cost.shadow_reg;
-                    let sh = self.shadow_of_op(*src, site);
+                    let sh = self.shadow_of_op(*src, site, slot);
                     let mask = match op {
                         // Complement preserves per-bit definedness.
                         usher_ir::UnOp::BitNot => sh.mask,
@@ -495,7 +501,7 @@ impl<'a> Machine<'a> {
                 ShadowOp::StoreSh { addr, src } => {
                     self.counters.shadow_cost += self.cost.shadow_mem;
                     let (av, _) = self.eval(*addr);
-                    let b = self.shadow_of_src(src, site);
+                    let b = self.shadow_of_src(src, site, slot);
                     if let Ok(a) = self.deref(av, site) {
                         self.sh_mem[a.inst as usize][a.cell as usize] = b;
                     }
@@ -509,19 +515,22 @@ impl<'a> Machine<'a> {
                 } => {
                     let (av, _) = self.eval(*addr);
                     if let Value::Ptr(a) = av {
-                        let len = self.mem[a.inst as usize].cells.len();
-                        let reps = self.reps(*obj).clone();
-                        let mut touched = 0u64;
                         let sh = if *defined {
                             Sh::DEFINED
                         } else {
-                            let o = self.origin_id(site);
+                            let o = self.origin_id(site, slot);
                             Sh::poison(o)
                         };
-                        for cell in 0..len {
+                        let reps = self
+                            .table
+                            .as_ref()
+                            .expect("ops come from the table")
+                            .reps(*obj);
+                        let mut touched = 0u64;
+                        for (cell, cell_sh) in self.sh_mem[a.inst as usize].iter_mut().enumerate() {
                             let rep = reps[cell % reps.len()];
                             if *class == u32::MAX || rep == *class {
-                                self.sh_mem[a.inst as usize][cell] = sh;
+                                *cell_sh = sh;
                                 touched += 1;
                             }
                         }
@@ -531,7 +540,7 @@ impl<'a> Machine<'a> {
                 }
                 ShadowOp::ArgSh { index, src } => {
                     self.counters.shadow_cost += self.cost.shadow_reg;
-                    let b = self.shadow_of_src(src, site);
+                    let b = self.shadow_of_src(src, site, slot);
                     if self.sigma_g.len() <= *index {
                         self.sigma_g.resize(index + 1, Sh::DEFINED);
                     }
@@ -545,7 +554,7 @@ impl<'a> Machine<'a> {
                 }
                 ShadowOp::RetSh { src } => {
                     self.counters.shadow_cost += self.cost.shadow_reg;
-                    self.sigma_ret = self.shadow_of_src(src, site);
+                    self.sigma_ret = self.shadow_of_src(src, site, slot);
                 }
                 ShadowOp::RetResultSh { dst } => {
                     self.counters.shadow_cost += self.cost.shadow_reg;
@@ -556,8 +565,8 @@ impl<'a> Machine<'a> {
                 ShadowOp::Check { op, kind } => {
                     self.counters.shadow_cost += self.cost.shadow_check;
                     self.counters.checks_executed += 1;
-                    let sh = self.shadow_of_op(*op, site);
-                    if sh.mask != 0 && self.detected_seen.insert(site) {
+                    let sh = self.shadow_of_op(*op, site, slot);
+                    if sh.mask != 0 && !std::mem::replace(&mut self.detected_seen[slot], true) {
                         let origin = self.origin_site(sh.origin);
                         self.detected.push(UndefEvent {
                             site,
@@ -580,16 +589,17 @@ impl<'a> Machine<'a> {
         let func = &self.m.funcs[f];
         let insts_len = func.blocks[block].insts.len();
         let site = Site::new(f, block, idx.min(insts_len));
+        let slot = frame.base + site.idx;
 
         self.counters.native_ops += 1;
 
         if idx < insts_len {
             let inst = func.blocks[block].insts[idx].clone();
-            self.run_before(site);
+            self.run_before(site, slot);
             match self.exec_inst(&inst, site) {
                 Ok(advance) => {
                     if advance {
-                        self.run_after(site);
+                        self.run_after(site, slot);
                         self.stack.last_mut().expect("frame exists").idx += 1;
                     }
                     Step::Continue
@@ -598,7 +608,7 @@ impl<'a> Machine<'a> {
             }
         } else {
             let term = func.blocks[block].term.clone();
-            self.run_before(site);
+            self.run_before(site, slot);
             self.exec_term(&term, site)
         }
     }
@@ -879,13 +889,14 @@ impl<'a> Machine<'a> {
                     Some(frame) => {
                         // Complete the suspended call in the caller.
                         let caller_site = Site::new(frame.func, frame.block, frame.idx);
+                        let caller_slot = frame.base + frame.idx;
                         let call_inst =
                             self.m.funcs[frame.func].blocks[frame.block].insts[frame.idx].clone();
                         if let Inst::Call { dst: Some(d), .. } = call_inst {
                             let (v, gt) = retval.unwrap_or((Value::Int(0), false));
                             self.set_reg(d, v, gt);
                         }
-                        self.run_after(caller_site);
+                        self.run_after(caller_site, caller_slot);
                         self.stack.last_mut().expect("frame exists").idx += 1;
                         Step::Continue
                     }
@@ -903,6 +914,7 @@ impl<'a> Machine<'a> {
         let from = frame.block;
         let func = &self.m.funcs[f];
         let block = &func.blocks[target];
+        let base = self.table.as_ref().map_or(0, |t| t.block_base(f, target));
 
         // Gather (dst, value, gt, shadow) for every phi first.
         let mut writes: Vec<(VarId, Value, bool, Option<Sh>)> = Vec::new();
@@ -918,13 +930,8 @@ impl<'a> Machine<'a> {
                 .map(|(_, o)| *o)
                 .unwrap_or(Operand::Undef);
             let (v, gt) = self.eval(inc);
-            let sh = match self.plan {
-                Some(plan) if plan.tracked_phis.contains(&(f, *dst)) => {
-                    let phi_site = Site::new(f, target, 0);
-                    Some(self.shadow_of_op(inc, phi_site))
-                }
-                _ => None,
-            };
+            let tracked = self.table.as_ref().is_some_and(|t| t.tracks_phi(f, *dst));
+            let sh = tracked.then(|| self.shadow_of_op(inc, Site::new(f, target, 0), base));
             writes.push((*dst, v, gt, sh));
         }
         self.counters.native_ops += nphis as u64;
@@ -941,6 +948,7 @@ impl<'a> Machine<'a> {
         }
         frame.block = target;
         frame.idx = nphis;
+        frame.base = base;
     }
 }
 

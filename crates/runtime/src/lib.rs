@@ -9,6 +9,15 @@
 //! every value, independent of the shadows — the oracle against which the
 //! detectors are validated in tests and benchmarks.
 //!
+//! A [`Plan`](usher_core::Plan) is not consulted while the program runs.
+//! [`run`] first decodes it into a dense side table with one slot per site
+//! of every block (instructions plus terminator), holding the op slices
+//! to run before and after that site, borrowed from the plan. Frames
+//! cache their block's first slot, so an instrumented run pays per
+//! executed instruction only an add and a slice-length test, plus the
+//! shadow ops it actually executes. A plan with no ops decodes to no
+//! table and runs exactly like a native run.
+//!
 //! ```
 //! use usher_core::{run_config, Config};
 //! use usher_runtime::{run, RunOptions};
@@ -28,6 +37,7 @@
 #![warn(missing_docs)]
 
 pub mod interp;
+mod table;
 pub mod value;
 
 pub use interp::{run, RunResult};

@@ -24,6 +24,22 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
 
+echo "==> figure10 smoke"
+# Section 4.5 end to end through the bench path: 197.parser's genuine
+# bug must be detected under each of the five configurations, and no
+# other workload may report a detection.
+F10_OUT=$(mktemp)
+./target/release/figure10 test > "$F10_OUT"
+F10_NOTES=$(grep -c '^note:' "$F10_OUT" || true)
+F10_PARSER=$(grep '^note: 197\.parser detected 1 undefined-use site(s) under ' "$F10_OUT" \
+    | sed 's/.* under //' | sort -u | wc -l)
+if [ "$F10_NOTES" -ne 5 ] || [ "$F10_PARSER" -ne 5 ]; then
+    echo "error: figure10 must note 197.parser's one bug once per config, and nothing else" >&2
+    cat "$F10_OUT" >&2
+    exit 1
+fi
+rm -f "$F10_OUT"
+
 echo "==> fuzz smoke"
 # A fixed, deterministic differential campaign across the static/dynamic
 # soundness boundary (plus a fuel-fault and a front-end havoc pass).
